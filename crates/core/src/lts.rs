@@ -31,12 +31,26 @@ pub struct LtsStats {
     pub n_steps: u64,
 }
 
+/// Per-level state: an empty vector for each level below `first` (state
+/// that level never has), then one zeroed `n`-vector per level. Each is its
+/// own zeroed allocation, so its pages stay unmapped until first written;
+/// `vec![vec![0.0; n]; levels]` would instead clone one zeroed vector and
+/// fault in every page of every level, although the finer levels only ever
+/// touch their own sparse DOFs.
+pub fn zeroed_levels(first: usize, levels: usize, n: usize) -> Vec<Vec<f64>> {
+    (0..levels)
+        .map(|l| if l < first { Vec::new() } else { vec![0.0; n] })
+        .collect()
+}
+
 /// Multi-level LTS-Newmark stepper.
 pub struct LtsNewmark<'a, O: Operator> {
     pub op: &'a O,
     pub setup: &'a LtsSetup,
     /// The global (coarsest) step `Δt`.
     pub dt: f64,
+    /// Per level: auxiliary displacement and velocity (empty at level 0,
+    /// see [`zeroed_levels`]) and the masked force buffer.
     uts: Vec<Vec<f64>>,
     vts: Vec<Vec<f64>>,
     fs: Vec<Vec<f64>>,
@@ -57,9 +71,10 @@ impl<'a, O: Operator> LtsNewmark<'a, O> {
             op,
             setup,
             dt,
-            uts: vec![vec![0.0; n]; levels],
-            vts: vec![vec![0.0; n]; levels],
-            fs: vec![vec![0.0; n]; levels],
+            // the auxiliary systems (ũ, ṽ) start at level 1
+            uts: zeroed_levels(1, levels, n),
+            vts: zeroed_levels(1, levels, n),
+            fs: zeroed_levels(0, levels, n),
             ws: Workspace::new(),
             threads: 1,
             stats: LtsStats::default(),

@@ -347,7 +347,8 @@ impl MetricsRegistry {
                 Metric::Histogram(h) => h.sum,
                 _ => 0.0,
             })
-            .sum()
+            // `f64: Sum` starts from -0.0, so an empty sum would read -0.0
+            .fold(0.0, |a, b| a + b)
     }
 
     /// Start a scoped span; the guard records a histogram observation (and a
@@ -422,6 +423,14 @@ mod tests {
         assert_eq!(r.counter_total("elem_ops"), 38);
         assert_eq!(r.counter_by_level("elem_ops"), vec![(0, 10), (1, 25)]);
         assert_eq!(r.counter("missing", None), 0);
+    }
+
+    #[test]
+    fn empty_histogram_sum_is_positive_zero() {
+        let mut r = MetricsRegistry::new();
+        assert!(r.histogram_sum_total("wait_s").is_sign_positive());
+        r.observe("wait_s", Some(0), -0.0);
+        assert!(r.histogram_sum_total("wait_s").is_sign_positive());
     }
 
     #[test]

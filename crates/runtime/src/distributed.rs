@@ -21,12 +21,12 @@ use crate::error::RuntimeError;
 /// What a distributed run returns: final `(u, v)` and per-rank stats, or
 /// the first rank failure.
 pub type RunResult = Result<(Vec<f64>, Vec<f64>, Vec<RankStats>), RuntimeError>;
-use crate::exchange::{build_plans, RankPlan};
+use crate::exchange::{build_plans, RankPlan, OWN};
 use crate::monitor::{MonitorConfig, RankMonitor, StallMonitor};
 use crate::stats::{names, RankStats, TimelineEvent};
 use crate::transport::faulty::{self, FaultPlan};
 use crate::transport::{self, Recv, Transport, TransportError, TransportKind};
-use lts_core::{DofTopology, LtsSetup, Operator, Source, Workspace};
+use lts_core::{zeroed_levels, DofTopology, LtsSetup, Operator, Source, Workspace};
 use lts_obs::{EventKind, FlightRecorder, MetricsRegistry, RankRecording, NO_LEVEL, NO_PEER};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -118,6 +118,8 @@ struct RankCtx<'a, O: Operator> {
     dt: f64,
     u: Vec<f64>,
     v: Vec<f64>,
+    /// Per level: auxiliary displacement and velocity (empty at level 0,
+    /// see `zeroed_levels`) and the masked force buffer.
     uts: Vec<Vec<f64>>,
     vts: Vec<Vec<f64>>,
     fs: Vec<Vec<f64>>,
@@ -477,32 +479,29 @@ impl<'a, O: Operator> RankCtx<'a, O> {
                 dofs_sent: self.reg.counter_total(names::DOFS_SENT),
             });
         }
-        // assemble in ascending-rank order for bitwise consistency
+        // assemble in ascending-rank order for bitwise consistency; each
+        // peer's payload is consumed in its pair-list (ascending DOF) order
         self.cursors.clear();
         self.cursors.resize(np, 0);
-        let rank = self.rank;
-        let plan = self.plan;
+        let shared = &self.plan.shared[l];
         let fs_l = &mut self.fs[l];
-        for (d, ranks) in &plan.shared[l] {
+        for &(d, lo, hi) in &shared.dofs {
             let mut total = 0.0;
-            for &r in ranks {
-                if r as usize == rank {
-                    total += fs_l[*d as usize];
+            for &slot in &shared.slots[lo as usize..hi as usize] {
+                if slot == OWN {
+                    total += fs_l[d as usize];
                 } else {
-                    let pi = match plan.peers[l].iter().position(|&p| p == r as usize) {
-                        Some(pi) => pi,
-                        None => return Err(not_a_peer(rank, r as usize, l)),
-                    };
+                    let pi = slot as usize;
                     match self.pending[pi].as_ref() {
                         Some(m) => {
                             total += m[self.cursors[pi]];
                             self.cursors[pi] += 1;
                         }
-                        None => return Err(not_a_peer(rank, r as usize, l)),
+                        None => return Err(not_a_peer(self.rank, self.plan.peers[l][pi], l)),
                     }
                 }
             }
-            fs_l[*d as usize] = total;
+            fs_l[d as usize] = total;
         }
         // recycle the payload buffers for the next exchange
         while let Some(p) = self.pending.pop() {
@@ -891,9 +890,9 @@ fn run_endpoints_with_plans<O: Operator + DofTopology + Sync>(
                         dt,
                         u: u0.to_vec(),
                         v: v0.to_vec(),
-                        uts: vec![vec![0.0; ndof]; levels],
-                        vts: vec![vec![0.0; ndof]; levels],
-                        fs: vec![vec![0.0; ndof]; levels],
+                        uts: zeroed_levels(1, levels, ndof),
+                        vts: zeroed_levels(1, levels, ndof),
+                        fs: zeroed_levels(0, levels, ndof),
                         transport,
                         gone: vec![false; n_ranks],
                         inbox: vec![VecDeque::new(); n_ranks],
@@ -1015,9 +1014,9 @@ pub fn run_rank_endpoint_recorded<O: Operator>(
         dt,
         u: u0.to_vec(),
         v: v0.to_vec(),
-        uts: vec![vec![0.0; ndof]; levels],
-        vts: vec![vec![0.0; ndof]; levels],
-        fs: vec![vec![0.0; ndof]; levels],
+        uts: zeroed_levels(1, levels, ndof),
+        vts: zeroed_levels(1, levels, ndof),
+        fs: zeroed_levels(0, levels, ndof),
         transport,
         gone: vec![false; n_ranks],
         inbox: vec![VecDeque::new(); n_ranks],
@@ -1045,7 +1044,6 @@ pub struct LocalRank<O: Operator> {
     pub op: O,
     pub n_levels: usize,
     pub dof_level: Vec<u8>,
-    pub leaf_level: Vec<u8>,
     pub plan: RankPlan,
     pub u: Vec<f64>,
     pub v: Vec<f64>,
@@ -1112,7 +1110,6 @@ pub fn run_rank_contexts_recorded<O: Operator + Send>(
                     op,
                     n_levels,
                     dof_level,
-                    leaf_level: _,
                     plan,
                     u,
                     v,
@@ -1131,9 +1128,9 @@ pub fn run_rank_contexts_recorded<O: Operator + Send>(
                     dt,
                     u,
                     v,
-                    uts: vec![vec![0.0; ndof]; n_levels],
-                    vts: vec![vec![0.0; ndof]; n_levels],
-                    fs: vec![vec![0.0; ndof]; n_levels],
+                    uts: zeroed_levels(1, n_levels, ndof),
+                    vts: zeroed_levels(1, n_levels, ndof),
+                    fs: zeroed_levels(0, n_levels, ndof),
                     transport,
                     gone: vec![false; n_ranks],
                     inbox: vec![VecDeque::new(); n_ranks],

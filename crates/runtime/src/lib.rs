@@ -9,9 +9,18 @@
 //! stall measurable.
 //!
 //! Shared interface DOFs are updated redundantly by every touching rank from
-//! identical assembled forces (partials are summed in rank order), so ranks
-//! stay bitwise consistent with the serial stepper — asserted by the
-//! integration tests.
+//! identical assembled forces (partials are summed in ascending rank order),
+//! so every rank holds the same bits for them. The fields are:
+//!
+//! * bitwise equal across transports, comm/compute overlap, intra-rank
+//!   thread counts and flight recorder on/off;
+//! * bitwise equal to the serial stepper at one rank;
+//! * otherwise within 1e-12 relative of the serial stepper. An interface
+//!   DOF's force is the sum of per-rank partials, associated differently
+//!   from the serial element order: on the 19,652-element trench at p = 4
+//!   with two ranks, 2.03 M of 2.60 M field entries differ, by at most
+//!   2.1e-13 relative. (On the 1-D chain each interface DOF has one element
+//!   per rank, so the sums coincide and runs stay bitwise equal.)
 
 #![forbid(unsafe_code)]
 

@@ -1,25 +1,72 @@
 //! Distributed-*memory* execution: each rank builds a compact local
-//! sub-operator over its own elements ([`lts_sem::UnstructuredAcoustic`]),
-//! so per-rank state scales with the partition size instead of the mesh —
-//! the actual memory model of an MPI code like SPECFEM3D.
+//! sub-operator over its own elements ([`lts_sem::UnstructuredAcoustic`],
+//! [`lts_sem::UnstructuredElastic`]), so per-rank state scales with the
+//! partition size instead of the mesh — the actual memory model of an MPI
+//! code like SPECFEM3D.
 //!
 //! The stepping and exchange logic is the shared [`crate::distributed`]
 //! rank context; only the index spaces change (everything is translated to
-//! rank-local DOF/element numbering up front). Verified bitwise against the
-//! serial stepper.
+//! rank-local DOF/element numbering up front, through dense global→local
+//! tables). At one rank the fields are bitwise equal to the serial stepper;
+//! with more ranks an interface DOF's force is the sum of per-rank partials,
+//! so fields agree with serial to within 1e-12 relative.
 
 use crate::distributed::RunResult;
-use crate::distributed::{
-    run_rank_contexts_recorded, DistributedConfig, LocalRank, RankContextRun, RankResult,
-};
+use crate::distributed::{run_rank_contexts_recorded, DistributedConfig, LocalRank};
 use crate::exchange::build_plans;
-use crate::exchange::RankPlan;
-use crate::stats::RankStats;
-use crate::RuntimeError;
-use lts_core::{LtsSetup, Operator, Source};
+use lts_core::{DofTopology, LtsSetup, Operator, Source};
 use lts_mesh::{HexMesh, Levels};
 use lts_obs::{MetricsRegistry, RankRecording};
 use lts_sem::{AcousticOperator, ElasticOperator, UnstructuredAcoustic, UnstructuredElastic};
+
+/// A gather-list operator a rank builds over its own elements.
+trait RankLocal: Operator + Send + Sized {
+    /// The global operator the decomposer discretizes first.
+    type Global: Operator + DofTopology;
+    /// DOFs per mesh node (interleaved components): DOF `= COMPS·node + comp`.
+    const COMPS: u32;
+    fn global(mesh: &HexMesh, order: usize) -> Self::Global;
+    /// The operator over `elems` with the globally assembled node masses,
+    /// and the global node id of each local node.
+    fn from_subset(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        node_mass: &dyn Fn(u32) -> f64,
+    ) -> (Self, Vec<u32>);
+}
+
+impl RankLocal for UnstructuredAcoustic {
+    type Global = AcousticOperator;
+    const COMPS: u32 = 1;
+    fn global(mesh: &HexMesh, order: usize) -> AcousticOperator {
+        AcousticOperator::new(mesh, order)
+    }
+    fn from_subset(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        node_mass: &dyn Fn(u32) -> f64,
+    ) -> (Self, Vec<u32>) {
+        UnstructuredAcoustic::from_subset(mesh, order, elems, Some(node_mass))
+    }
+}
+
+impl RankLocal for UnstructuredElastic {
+    type Global = ElasticOperator;
+    const COMPS: u32 = 3;
+    fn global(mesh: &HexMesh, order: usize) -> ElasticOperator {
+        ElasticOperator::poisson(mesh, order)
+    }
+    fn from_subset(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        node_mass: &dyn Fn(u32) -> f64,
+    ) -> (Self, Vec<u32>) {
+        UnstructuredElastic::from_subset(mesh, order, elems, Some(node_mass))
+    }
+}
 
 /// Run partitioned LTS with per-rank local memory on the acoustic SEM.
 ///
@@ -88,171 +135,9 @@ pub fn run_distributed_local_acoustic_flight(
     sources: &[Source],
     host: &mut MetricsRegistry,
 ) -> (RunResult, Vec<RankRecording>) {
-    let n_ranks = cfg.n_ranks;
-    // global discretization (mass + level sets), as the decomposer computes
-    let discretize = host.start_span("decompose.discretize", None);
-    let global_op = AcousticOperator::new(mesh, order);
-    let setup = LtsSetup::new(&global_op, &levels.elem_level);
-    let ndof = Operator::ndof(&global_op);
-    assert_eq!(u0.len(), ndof);
-    let plans = build_plans(&global_op, &setup, partition, n_ranks);
-    let global_mass = global_op.mass().to_vec();
-    drop(discretize);
-    host.set_gauge("ndof", ndof as f64);
-    host.set_gauge("n_ranks", n_ranks as f64);
-
-    // per-rank local worlds
-    let worlds_span = host.start_span("decompose.build_worlds", None);
-    let mut ranks: Vec<LocalRank<UnstructuredAcoustic>> = Vec::with_capacity(n_ranks);
-    for (rank, plan) in plans.iter().enumerate() {
-        let my_elems_global: Vec<u32> = (0..mesh.n_elems() as u32)
-            .filter(|&e| partition[e as usize] == rank as u32)
-            .collect();
-        let (local_op, global_of_local) = UnstructuredAcoustic::from_subset(
-            mesh,
-            order,
-            &my_elems_global,
-            Some(&|g| global_mass[g as usize]),
-        );
-        // index translations
-        let local_dof = |g: u32| -> u32 {
-            // The plan only names DOFs of elements this rank owns, so a miss
-            // is a plan-construction bug, not a runtime condition.
-            global_of_local
-                .binary_search(&g)
-                .expect("dof not owned by rank") as u32 // lint: allow(no-panic) — plan-construction invariant, not a runtime condition
-        };
-        let local_elem: std::collections::HashMap<u32, u32> = my_elems_global
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, l as u32))
-            .collect();
-        let nl = setup.n_levels;
-        let map_dofs = |lists: &Vec<Vec<u32>>| -> Vec<Vec<u32>> {
-            lists
-                .iter()
-                .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                .collect()
-        };
-        let localized = RankPlan {
-            my_elems: (0..nl)
-                .map(|l| plan.my_elems[l].iter().map(|e| local_elem[e]).collect())
-                .collect(),
-            my_boundary_elems: (0..nl)
-                .map(|l| {
-                    plan.my_boundary_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_interior_elems: (0..nl)
-                .map(|l| {
-                    plan.my_interior_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_zero: map_dofs(&plan.my_zero),
-            my_active: map_dofs(&plan.my_active),
-            my_leaf: map_dofs(&plan.my_leaf),
-            my_dofs: (0..global_of_local.len() as u32).collect(),
-            peers: plan.peers.clone(),
-            pair_dofs: plan
-                .pair_dofs
-                .iter()
-                .map(|per_peer| {
-                    per_peer
-                        .iter()
-                        .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                        .collect()
-                })
-                .collect(),
-            shared: plan
-                .shared
-                .iter()
-                .map(|l| l.iter().map(|(d, r)| (local_dof(*d), r.clone())).collect())
-                .collect(),
-        };
-        // local level metadata
-        let dof_level: Vec<u8> = global_of_local
-            .iter()
-            .map(|&g| setup.dof_level[g as usize])
-            .collect();
-        let leaf_level: Vec<u8> = global_of_local
-            .iter()
-            .map(|&g| setup.leaf_level[g as usize])
-            .collect();
-        let u_local: Vec<f64> = global_of_local.iter().map(|&g| u0[g as usize]).collect();
-        let v_local: Vec<f64> = global_of_local.iter().map(|&g| v0[g as usize]).collect();
-        let my_sources: Vec<Vec<(usize, u32)>> = {
-            let mut per_level = vec![Vec::new(); nl];
-            for (si, src) in sources.iter().enumerate() {
-                if let Ok(l) = global_of_local.binary_search(&src.dof) {
-                    per_level[setup.leaf_level[src.dof as usize] as usize].push((si, l as u32));
-                }
-            }
-            per_level
-        };
-        ranks.push(LocalRank {
-            op: local_op,
-            n_levels: nl,
-            dof_level,
-            leaf_level,
-            plan: localized,
-            u: u_local,
-            v: v_local,
-            my_sources,
-            global_of_local,
-        });
-    }
-    drop(worlds_span);
-
-    let run_span = host.start_span("run.steps", None);
-    let (outcomes, recordings) = run_rank_contexts_recorded(ranks, dt, n_steps, cfg, sources);
-    drop(run_span);
-    let (results, stats) = match split_outcomes(outcomes) {
-        Ok(pair) => pair,
-        Err(e) => return (Err(e), recordings),
-    };
-    for s in &stats {
-        host.merge_from(&s.registry);
-    }
-
-    // assemble: lowest owning rank provides each dof
-    let mut owner = vec![u32::MAX; ndof];
-    for (rank, plan) in plans.iter().enumerate() {
-        for &d in &plan.my_dofs {
-            owner[d as usize] = owner[d as usize].min(rank as u32);
-        }
-    }
-    let mut u = vec![0.0; ndof];
-    let mut v = vec![0.0; ndof];
-    for (rank, (u_local, v_local, global_of_local)) in results.into_iter().enumerate() {
-        for (l, &g) in global_of_local.iter().enumerate() {
-            if owner[g as usize] == rank as u32 {
-                u[g as usize] = u_local[l];
-                v[g as usize] = v_local[l];
-            }
-        }
-    }
-    (Ok((u, v, stats)), recordings)
-}
-
-/// Flatten per-rank outcomes: all `Ok` → `(results, stats)`, otherwise the
-/// lowest failed rank's error (ID order — deterministic across runs).
-fn split_outcomes(
-    outcomes: Vec<RankContextRun>,
-) -> Result<(Vec<RankResult>, Vec<RankStats>), RuntimeError> {
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut stats = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        let (res, st) = o?;
-        results.push(res);
-        stats.push(st);
-    }
-    Ok((results, stats))
+    run_local::<UnstructuredAcoustic>(
+        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
+    )
 }
 
 /// [`run_distributed_local_acoustic`] for the elastic operator: local node
@@ -314,164 +199,114 @@ pub fn run_distributed_local_elastic_flight(
     sources: &[Source],
     host: &mut MetricsRegistry,
 ) -> (RunResult, Vec<RankRecording>) {
+    run_local::<UnstructuredElastic>(
+        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
+    )
+}
+
+/// The decomposer and runner behind every rank-local entry point.
+#[allow(clippy::too_many_arguments)]
+fn run_local<L: RankLocal>(
+    mesh: &HexMesh,
+    levels: &Levels,
+    order: usize,
+    partition: &[u32],
+    dt: f64,
+    u0: &[f64],
+    v0: &[f64],
+    n_steps: usize,
+    cfg: &DistributedConfig,
+    sources: &[Source],
+    host: &mut MetricsRegistry,
+) -> (RunResult, Vec<RankRecording>) {
     let n_ranks = cfg.n_ranks;
+    // global discretization (mass + level sets), as the decomposer computes
     let discretize = host.start_span("decompose.discretize", None);
-    let global_op = ElasticOperator::poisson(mesh, order);
+    let global_op = L::global(mesh, order);
     let setup = LtsSetup::new(&global_op, &levels.elem_level);
     let ndof = Operator::ndof(&global_op);
     assert_eq!(u0.len(), ndof);
     let plans = build_plans(&global_op, &setup, partition, n_ranks);
-    let global_mass = global_op.mass().to_vec();
     drop(discretize);
     host.set_gauge("ndof", ndof as f64);
     host.set_gauge("n_ranks", n_ranks as f64);
 
+    // per-rank local worlds; the global operator, set-up and plans are
+    // released before stepping
     let worlds_span = host.start_span("decompose.build_worlds", None);
-    let mut ranks: Vec<LocalRank<UnstructuredElastic>> = Vec::with_capacity(n_ranks);
-    for (rank, plan) in plans.iter().enumerate() {
-        let my_elems_global: Vec<u32> = (0..mesh.n_elems() as u32)
-            .filter(|&e| partition[e as usize] == rank as u32)
-            .collect();
-        let (local_op, node_of_local) = UnstructuredElastic::from_subset(
-            mesh,
-            order,
-            &my_elems_global,
-            Some(&|g| global_mass[3 * g as usize]),
-        );
-        // dof translation: global dof = 3·node + comp
-        let local_dof = |g: u32| -> u32 {
-            let node = g / 3;
-            let comp = g % 3;
-            // Same decompose-time invariant as the acoustic variant:
-            // plans never name foreign nodes.
-            // lint: allow(no-panic) — decompose-time structural invariant
-            3 * node_of_local.binary_search(&node).expect("node not owned") as u32 + comp
-        };
-        let local_elem: std::collections::HashMap<u32, u32> = my_elems_global
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, l as u32))
-            .collect();
-        let nl = setup.n_levels;
-        let map_dofs = |lists: &Vec<Vec<u32>>| -> Vec<Vec<u32>> {
-            lists
-                .iter()
-                .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                .collect()
-        };
-        let n_local_dofs = 3 * node_of_local.len();
-        let localized = RankPlan {
-            my_elems: (0..nl)
-                .map(|l| plan.my_elems[l].iter().map(|e| local_elem[e]).collect())
-                .collect(),
-            my_boundary_elems: (0..nl)
-                .map(|l| {
-                    plan.my_boundary_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_interior_elems: (0..nl)
-                .map(|l| {
-                    plan.my_interior_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_zero: map_dofs(&plan.my_zero),
-            my_active: map_dofs(&plan.my_active),
-            my_leaf: map_dofs(&plan.my_leaf),
-            my_dofs: (0..n_local_dofs as u32).collect(),
-            peers: plan.peers.clone(),
-            pair_dofs: plan
-                .pair_dofs
-                .iter()
-                .map(|per_peer| {
-                    per_peer
-                        .iter()
-                        .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                        .collect()
-                })
-                .collect(),
-            shared: plan
-                .shared
-                .iter()
-                .map(|l| l.iter().map(|(d, r)| (local_dof(*d), r.clone())).collect())
-                .collect(),
-        };
-        let global_dof_of_local: Vec<u32> = (0..n_local_dofs as u32)
-            .map(|ld| 3 * node_of_local[(ld / 3) as usize] + ld % 3)
-            .collect();
-        let dof_level: Vec<u8> = global_dof_of_local
-            .iter()
-            .map(|&g| setup.dof_level[g as usize])
-            .collect();
-        let leaf_level: Vec<u8> = global_dof_of_local
-            .iter()
-            .map(|&g| setup.leaf_level[g as usize])
-            .collect();
-        let u_local: Vec<f64> = global_dof_of_local
-            .iter()
-            .map(|&g| u0[g as usize])
-            .collect();
-        let v_local: Vec<f64> = global_dof_of_local
-            .iter()
-            .map(|&g| v0[g as usize])
-            .collect();
-        let my_sources: Vec<Vec<(usize, u32)>> = {
-            let mut per_level = vec![Vec::new(); nl];
-            for (si, src) in sources.iter().enumerate() {
-                let node = src.dof / 3;
-                if let Ok(ln) = node_of_local.binary_search(&node) {
-                    let ld = 3 * ln as u32 + src.dof % 3;
-                    per_level[setup.leaf_level[src.dof as usize] as usize].push((si, ld));
-                }
-            }
-            per_level
-        };
-        ranks.push(LocalRank {
-            op: local_op,
-            n_levels: nl,
-            dof_level,
-            leaf_level,
-            plan: localized,
-            u: u_local,
-            v: v_local,
-            my_sources,
-            global_of_local: global_dof_of_local,
-        });
+    let c = L::COMPS;
+    let mass = global_op.mass();
+    let node_mass = |g: u32| mass[(c * g) as usize];
+    // each rank's elements (ascending) and every element's rank-local id
+    let mut rank_elems: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
+    let mut local_elem = vec![0u32; partition.len()];
+    for (e, &r) in partition.iter().enumerate() {
+        let mine = &mut rank_elems[r as usize];
+        local_elem[e] = mine.len() as u32;
+        mine.push(e as u32);
     }
+    // dense global→local node table, filled and cleared per rank
+    let mut local_node = vec![u32::MAX; ndof / c as usize];
+    let mut ranks: Vec<LocalRank<L>> = Vec::with_capacity(n_ranks);
+    for (plan, elems) in plans.into_iter().zip(&rank_elems) {
+        let (op, node_of_local) = L::from_subset(mesh, order, elems, &node_mass);
+        for (l, &g) in node_of_local.iter().enumerate() {
+            local_node[g as usize] = l as u32;
+        }
+        // plans only name DOFs of the rank's own elements
+        let local_dof = |g: u32| c * local_node[(g / c) as usize] + g % c;
+        let global_of_local: Vec<u32> = (0..c * node_of_local.len() as u32)
+            .map(|ld| c * node_of_local[(ld / c) as usize] + ld % c)
+            .collect();
+        let mut my_sources: Vec<Vec<(usize, u32)>> = vec![Vec::new(); setup.n_levels];
+        for (si, src) in sources.iter().enumerate() {
+            if local_node[(src.dof / c) as usize] != u32::MAX {
+                my_sources[setup.leaf_level[src.dof as usize] as usize]
+                    .push((si, local_dof(src.dof)));
+            }
+        }
+        ranks.push(LocalRank {
+            op,
+            n_levels: setup.n_levels,
+            dof_level: global_of_local
+                .iter()
+                .map(|&g| setup.dof_level[g as usize])
+                .collect(),
+            plan: plan.localize(local_dof, |e| local_elem[e as usize], global_of_local.len()),
+            u: global_of_local.iter().map(|&g| u0[g as usize]).collect(),
+            v: global_of_local.iter().map(|&g| v0[g as usize]).collect(),
+            my_sources,
+            global_of_local,
+        });
+        for &g in &node_of_local {
+            local_node[g as usize] = u32::MAX;
+        }
+    }
+    drop((setup, global_op));
     drop(worlds_span);
 
     let run_span = host.start_span("run.steps", None);
     let (outcomes, recordings) = run_rank_contexts_recorded(ranks, dt, n_steps, cfg, sources);
     drop(run_span);
-    let (results, stats) = match split_outcomes(outcomes) {
-        Ok(pair) => pair,
+    // the lowest failed rank's error (ID order — deterministic across runs)
+    let results = match outcomes.into_iter().collect::<Result<Vec<_>, _>>() {
+        Ok(results) => results,
         Err(e) => return (Err(e), recordings),
     };
-    for s in &stats {
-        host.merge_from(&s.registry);
+    for (_, st) in &results {
+        host.merge_from(&st.registry);
     }
-
-    let mut owner = vec![u32::MAX; ndof];
-    for (rank, plan) in plans.iter().enumerate() {
-        for &d in &plan.my_dofs {
-            owner[d as usize] = owner[d as usize].min(rank as u32);
-        }
-    }
+    // assemble: the lowest owning rank provides each dof (ranks visited
+    // high to low, so lower ranks overwrite)
     let mut u = vec![0.0; ndof];
     let mut v = vec![0.0; ndof];
-    for (rank, (u_local, v_local, global_of_local)) in results.into_iter().enumerate() {
+    for ((u_local, v_local, global_of_local), _) in results.iter().rev() {
         for (l, &g) in global_of_local.iter().enumerate() {
-            if owner[g as usize] == rank as u32 {
-                u[g as usize] = u_local[l];
-                v[g as usize] = v_local[l];
-            }
+            u[g as usize] = u_local[l];
+            v[g as usize] = v_local[l];
         }
     }
+    let stats = results.into_iter().map(|(_, st)| st).collect();
     (Ok((u, v, stats)), recordings)
 }
 
@@ -495,11 +330,7 @@ mod tests {
     ) -> Vec<f64> {
         let op = AcousticOperator::new(mesh, order);
         let setup = LtsSetup::new(&op, &levels.elem_level);
-        let mut u = u0.to_vec();
-        let mut v = vec![0.0; u0.len()];
-        let mut lts = LtsNewmark::new(&op, &setup, dt);
-        lts.run(&mut u, &mut v, 0.0, steps, sources);
-        u
+        serial_uv(&op, &setup, dt, u0, steps, sources).0
     }
 
     #[test]
@@ -538,6 +369,71 @@ mod tests {
             );
         }
         assert_eq!(stats.len(), n_ranks);
+    }
+
+    /// The serial LTS-Newmark `(u, v)` after `steps` from `(u0, 0)`.
+    fn serial_uv<O: Operator>(
+        op: &O,
+        setup: &LtsSetup,
+        dt: f64,
+        u0: &[f64],
+        steps: usize,
+        sources: &[Source],
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut u = u0.to_vec();
+        let mut v = vec![0.0; u0.len()];
+        LtsNewmark::new(op, setup, dt).run(&mut u, &mut v, 0.0, steps, sources);
+        (u, v)
+    }
+
+    /// At one rank no DOF is shared, so the rank-local runtime must
+    /// reproduce the serial stepper bit for bit (`u` and `v`, acoustic and
+    /// elastic, with a source), and its idle exchange accounting must read
+    /// `+0`, never `-0.000`.
+    #[test]
+    fn one_rank_matches_serial_bitwise() {
+        let b = BenchmarkMesh::build(MeshKind::Trench, 400);
+        let order = 3;
+        let dt = b.levels.dt_global * cfl_dt_scale(order, 3);
+        let steps = 3;
+        let cfg = DistributedConfig::new(1);
+        let part = vec![0u32; b.mesh.n_elems()];
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let acoustic = AcousticOperator::new(&b.mesh, order);
+        let elastic = ElasticOperator::poisson(&b.mesh, order);
+        for is_elastic in [false, true] {
+            let setup = if is_elastic {
+                LtsSetup::new(&elastic, &b.levels.elem_level)
+            } else {
+                LtsSetup::new(&acoustic, &b.levels.elem_level)
+            };
+            let ndof = setup.dof_level.len();
+            let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.05).sin()).collect();
+            let v0 = vec![0.0; ndof];
+            let src_dof = setup.leaf[0][setup.leaf[0].len() / 3];
+            let srcs = vec![Source::ricker(src_dof, 0.3, 1.0, 1.0)];
+            let (run, (u_ref, v_ref)) = if is_elastic {
+                (
+                    run_distributed_local_elastic(
+                        &b.mesh, &b.levels, order, &part, dt, &u0, &v0, steps, &cfg, &srcs,
+                    ),
+                    serial_uv(&elastic, &setup, dt, &u0, steps, &srcs),
+                )
+            } else {
+                (
+                    run_distributed_local_acoustic(
+                        &b.mesh, &b.levels, order, &part, dt, &u0, &v0, steps, &cfg, &srcs,
+                    ),
+                    serial_uv(&acoustic, &setup, dt, &u0, steps, &srcs),
+                )
+            };
+            let (u, v, stats) = run.unwrap();
+            assert!(bits(&u) == bits(&u_ref), "elastic={is_elastic}: u differs");
+            assert!(bits(&v) == bits(&v_ref), "elastic={is_elastic}: v differs");
+            assert!(stats[0].wait_s.is_sign_positive(), "{}", stats[0].wait_s);
+            let timeline = crate::stats::ascii_timeline(&stats, 40);
+            assert!(!timeline.contains("-0.000"), "{timeline}");
+        }
     }
 
     #[test]
@@ -592,10 +488,7 @@ mod tests {
         let setup = LtsSetup::new(&op, &b.levels.elem_level);
         let ndof = Operator::ndof(&op);
         let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.05).sin()).collect();
-        let mut u_ref = u0.clone();
-        let mut v_ref = vec![0.0; ndof];
-        let mut lts = LtsNewmark::new(&op, &setup, dt);
-        lts.run(&mut u_ref, &mut v_ref, 0.0, 3, &[]);
+        let (u_ref, _) = serial_uv(&op, &setup, dt, &u0, 3, &[]);
 
         let n_ranks = 3;
         let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);

@@ -25,6 +25,45 @@ use crate::gll::GllBasis;
 use lts_core::{DofTopology, Operator, Workspace};
 use lts_mesh::HexMesh;
 
+/// Compact local numbering of the nodes of `elems`: mark every touched node
+/// in a dense global→local table, then number the marks in ascending global
+/// order. Returns `global_of_local` and the elements' flattened node lists
+/// in local ids.
+fn number_subset(dofmap: &DofMap, elems: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut elem_nodes = Vec::with_capacity(elems.len() * dofmap.nodes_per_elem());
+    let mut buf = Vec::new();
+    for &e in elems {
+        dofmap.elem_nodes(e, &mut buf);
+        elem_nodes.extend_from_slice(&buf);
+    }
+    const UNUSED: u32 = u32::MAX;
+    let mut local_of_global = vec![UNUSED; dofmap.n_nodes()];
+    for &g in &elem_nodes {
+        local_of_global[g as usize] = 0;
+    }
+    let mut global_of_local = Vec::new();
+    for (g, local) in local_of_global.iter_mut().enumerate() {
+        if *local != UNUSED {
+            *local = global_of_local.len() as u32;
+            global_of_local.push(g as u32);
+        }
+    }
+    for g in elem_nodes.iter_mut() {
+        *g = local_of_global[*g as usize];
+    }
+    (global_of_local, elem_nodes)
+}
+
+/// Edge lengths `(hx, hy, hz)` of element `e`.
+fn elem_extent(mesh: &HexMesh, dofmap: &DofMap, e: u32) -> (f64, f64, f64) {
+    let (ei, ej, ek) = dofmap.elem_ijk(e);
+    (
+        mesh.xs[ei + 1] - mesh.xs[ei],
+        mesh.ys[ej + 1] - mesh.ys[ej],
+        mesh.zs[ek + 1] - mesh.zs[ek],
+    )
+}
+
 /// Gather-list acoustic operator.
 pub struct UnstructuredAcoustic {
     pub basis: GllBasis,
@@ -62,35 +101,15 @@ impl UnstructuredAcoustic {
         let basis = GllBasis::new(order);
         let npe = dofmap.nodes_per_elem();
 
-        // local numbering: ascending global ids of all touched nodes
-        let mut touched = Vec::with_capacity(elems.len() * npe);
-        let mut buf = Vec::new();
-        for &e in elems {
-            dofmap.elem_nodes(e, &mut buf);
-            touched.extend_from_slice(&buf);
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        let global_of_local = touched;
-        let mut local_of_global = std::collections::HashMap::with_capacity(global_of_local.len());
-        for (l, &g) in global_of_local.iter().enumerate() {
-            local_of_global.insert(g, l as u32);
-        }
-
-        let mut elem_dofs = Vec::with_capacity(elems.len() * npe);
-        let mut elem_geom = Vec::with_capacity(elems.len());
-        for &e in elems {
-            dofmap.elem_nodes(e, &mut buf);
-            for &g in &buf {
-                elem_dofs.push(local_of_global[&g]);
-            }
-            let (ei, ej, ek) = dofmap.elem_ijk(e);
-            let hx = mesh.xs[ei + 1] - mesh.xs[ei];
-            let hy = mesh.ys[ej + 1] - mesh.ys[ej];
-            let hz = mesh.zs[ek + 1] - mesh.zs[ek];
-            let mu = mesh.density[e as usize] * mesh.velocity[e as usize].powi(2);
-            elem_geom.push((hx, hy, hz, mu));
-        }
+        let (global_of_local, elem_dofs) = number_subset(&dofmap, elems);
+        let elem_geom: Vec<_> = elems
+            .iter()
+            .map(|&e| {
+                let (hx, hy, hz) = elem_extent(mesh, &dofmap, e);
+                let mu = mesh.density[e as usize] * mesh.velocity[e as usize].powi(2);
+                (hx, hy, hz, mu)
+            })
+            .collect();
 
         let ndof = global_of_local.len();
         let mut mass = vec![0.0; ndof];
@@ -332,38 +351,20 @@ impl UnstructuredElastic {
         let dofmap = DofMap::new(mesh, order);
         let basis = GllBasis::new(order);
         let npe = dofmap.nodes_per_elem();
-        let mut touched = Vec::with_capacity(elems.len() * npe);
-        let mut buf = Vec::new();
-        for &e in elems {
-            dofmap.elem_nodes(e, &mut buf);
-            touched.extend_from_slice(&buf);
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        let global_of_local = touched;
-        let mut local_of_global = std::collections::HashMap::with_capacity(global_of_local.len());
-        for (l, &g) in global_of_local.iter().enumerate() {
-            local_of_global.insert(g, l as u32);
-        }
-        let mut elem_nodes = Vec::with_capacity(elems.len() * npe);
-        let mut elem_geom = Vec::with_capacity(elems.len());
+        let (global_of_local, elem_nodes) = number_subset(&dofmap, elems);
         let vs_over_vp = 1.0 / 3.0f64.sqrt();
-        for &e in elems {
-            dofmap.elem_nodes(e, &mut buf);
-            for &g in &buf {
-                elem_nodes.push(local_of_global[&g]);
-            }
-            let (ei, ej, ek) = dofmap.elem_ijk(e);
-            let hx = mesh.xs[ei + 1] - mesh.xs[ei];
-            let hy = mesh.ys[ej + 1] - mesh.ys[ej];
-            let hz = mesh.zs[ek + 1] - mesh.zs[ek];
-            let rho = mesh.density[e as usize];
-            let vp = mesh.velocity[e as usize];
-            let vs = vp * vs_over_vp;
-            let mu = rho * vs * vs;
-            let lam = rho * vp * vp - 2.0 * mu;
-            elem_geom.push((hx, hy, hz, lam, mu));
-        }
+        let elem_geom: Vec<_> = elems
+            .iter()
+            .map(|&e| {
+                let (hx, hy, hz) = elem_extent(mesh, &dofmap, e);
+                let rho = mesh.density[e as usize];
+                let vp = mesh.velocity[e as usize];
+                let vs = vp * vs_over_vp;
+                let mu = rho * vs * vs;
+                let lam = rho * vp * vp - 2.0 * mu;
+                (hx, hy, hz, lam, mu)
+            })
+            .collect();
         let n_nodes = global_of_local.len();
         let mut mass = vec![0.0; 3 * n_nodes];
         match full_mass_of {
@@ -595,6 +596,248 @@ mod tests {
         let mut m = HexMesh::uniform(4, 3, 2, 1.0, 1.2);
         m.paint_box((2, 4), (0, 3), (0, 2), 2.0, 1.2);
         m
+    }
+
+    /// The pre-dense construction (sort + dedup, SipHash map), kept as the
+    /// equivalence oracle for [`number_subset`].
+    mod oracle {
+        use crate::dofmap::DofMap;
+        use crate::gll::GllBasis;
+        use crate::unstructured::{UnstructuredAcoustic, UnstructuredElastic};
+        use lts_mesh::HexMesh;
+
+        pub fn acoustic(
+            mesh: &HexMesh,
+            order: usize,
+            elems: &[u32],
+            full_mass_of: Option<&dyn Fn(u32) -> f64>,
+        ) -> (UnstructuredAcoustic, Vec<u32>) {
+            let dofmap = DofMap::new(mesh, order);
+            let basis = GllBasis::new(order);
+            let npe = dofmap.nodes_per_elem();
+
+            // local numbering: ascending global ids of all touched nodes
+            let mut touched = Vec::with_capacity(elems.len() * npe);
+            let mut buf = Vec::new();
+            for &e in elems {
+                dofmap.elem_nodes(e, &mut buf);
+                touched.extend_from_slice(&buf);
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            let global_of_local = touched;
+            let mut local_of_global =
+                std::collections::HashMap::with_capacity(global_of_local.len());
+            for (l, &g) in global_of_local.iter().enumerate() {
+                local_of_global.insert(g, l as u32);
+            }
+
+            let mut elem_dofs = Vec::with_capacity(elems.len() * npe);
+            let mut elem_geom = Vec::with_capacity(elems.len());
+            for &e in elems {
+                dofmap.elem_nodes(e, &mut buf);
+                for &g in &buf {
+                    elem_dofs.push(local_of_global[&g]);
+                }
+                let (ei, ej, ek) = dofmap.elem_ijk(e);
+                let hx = mesh.xs[ei + 1] - mesh.xs[ei];
+                let hy = mesh.ys[ej + 1] - mesh.ys[ej];
+                let hz = mesh.zs[ek + 1] - mesh.zs[ek];
+                let mu = mesh.density[e as usize] * mesh.velocity[e as usize].powi(2);
+                elem_geom.push((hx, hy, hz, mu));
+            }
+
+            let ndof = global_of_local.len();
+            let mut mass = vec![0.0; ndof];
+            match full_mass_of {
+                Some(f) => {
+                    for (l, &g) in global_of_local.iter().enumerate() {
+                        mass[l] = f(g);
+                    }
+                }
+                None => {
+                    // assemble from the subset's own elements
+                    let np = basis.n_points();
+                    for (le, &e) in elems.iter().enumerate() {
+                        let (hx, hy, hz, _) = elem_geom[le];
+                        let jac = 0.125 * hx * hy * hz;
+                        let rho = mesh.density[e as usize];
+                        let base = le * npe;
+                        let mut li = 0usize;
+                        // same association order as the structured assembly so
+                        // the masses agree bitwise
+                        for c in 0..np {
+                            for b in 0..np {
+                                let wbc = basis.weights[b] * basis.weights[c];
+                                for a in 0..np {
+                                    let l = elem_dofs[base + li] as usize;
+                                    mass[l] += rho * basis.weights[a] * wbc * jac;
+                                    li += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let inv_mass = mass.iter().map(|&m| 1.0 / m).collect();
+            (
+                UnstructuredAcoustic {
+                    basis,
+                    elem_dofs,
+                    elem_geom,
+                    mass,
+                    inv_mass,
+                    npe,
+                    ndof,
+                },
+                global_of_local,
+            )
+        }
+
+        pub fn elastic(
+            mesh: &HexMesh,
+            order: usize,
+            elems: &[u32],
+            full_mass_of: Option<&dyn Fn(u32) -> f64>,
+        ) -> (UnstructuredElastic, Vec<u32>) {
+            let dofmap = DofMap::new(mesh, order);
+            let basis = GllBasis::new(order);
+            let npe = dofmap.nodes_per_elem();
+            let mut touched = Vec::with_capacity(elems.len() * npe);
+            let mut buf = Vec::new();
+            for &e in elems {
+                dofmap.elem_nodes(e, &mut buf);
+                touched.extend_from_slice(&buf);
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            let global_of_local = touched;
+            let mut local_of_global =
+                std::collections::HashMap::with_capacity(global_of_local.len());
+            for (l, &g) in global_of_local.iter().enumerate() {
+                local_of_global.insert(g, l as u32);
+            }
+            let mut elem_nodes = Vec::with_capacity(elems.len() * npe);
+            let mut elem_geom = Vec::with_capacity(elems.len());
+            let vs_over_vp = 1.0 / 3.0f64.sqrt();
+            for &e in elems {
+                dofmap.elem_nodes(e, &mut buf);
+                for &g in &buf {
+                    elem_nodes.push(local_of_global[&g]);
+                }
+                let (ei, ej, ek) = dofmap.elem_ijk(e);
+                let hx = mesh.xs[ei + 1] - mesh.xs[ei];
+                let hy = mesh.ys[ej + 1] - mesh.ys[ej];
+                let hz = mesh.zs[ek + 1] - mesh.zs[ek];
+                let rho = mesh.density[e as usize];
+                let vp = mesh.velocity[e as usize];
+                let vs = vp * vs_over_vp;
+                let mu = rho * vs * vs;
+                let lam = rho * vp * vp - 2.0 * mu;
+                elem_geom.push((hx, hy, hz, lam, mu));
+            }
+            let n_nodes = global_of_local.len();
+            let mut mass = vec![0.0; 3 * n_nodes];
+            match full_mass_of {
+                Some(f) => {
+                    for (l, &g) in global_of_local.iter().enumerate() {
+                        // the structured elastic mass replicates per component
+                        let m = f(g);
+                        mass[3 * l] = m;
+                        mass[3 * l + 1] = m;
+                        mass[3 * l + 2] = m;
+                    }
+                }
+                None => {
+                    let np = basis.n_points();
+                    for (le, &e) in elems.iter().enumerate() {
+                        let (hx, hy, hz, _, _) = elem_geom[le];
+                        let jac = 0.125 * hx * hy * hz;
+                        let rho = mesh.density[e as usize];
+                        let base = le * npe;
+                        let mut li = 0usize;
+                        for c in 0..np {
+                            for b in 0..np {
+                                let wbc = basis.weights[b] * basis.weights[c];
+                                for a in 0..np {
+                                    let l = elem_nodes[base + li] as usize;
+                                    let m = rho * basis.weights[a] * wbc * jac;
+                                    mass[3 * l] += m;
+                                    mass[3 * l + 1] += m;
+                                    mass[3 * l + 2] += m;
+                                    li += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let inv_mass = mass.iter().map(|&m| 1.0 / m).collect();
+            (
+                UnstructuredElastic {
+                    basis,
+                    elem_nodes,
+                    elem_geom,
+                    mass,
+                    inv_mass,
+                    npe,
+                    n_nodes,
+                },
+                global_of_local,
+            )
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A pseudo-random, possibly empty, subset of `0..n` (ascending).
+    fn random_subset(n: usize, seed: u64) -> Vec<u32> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n as u32)
+            .filter(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                !x.is_multiple_of(3)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+        /// Dense numbering reproduces the oracle's local numbering, element
+        /// lists, geometry and masses (own-element and full) bit for bit.
+        #[test]
+        fn dense_numbering_matches_oracle(
+            mesh in 0u8..2,
+            order in 1usize..5,
+            seed in 0u64..1_000_000,
+        ) {
+            use lts_mesh::{BenchmarkMesh, MeshKind};
+            let kind = if mesh == 0 { MeshKind::Trench } else { MeshKind::Embedding };
+            let m = BenchmarkMesh::build(kind, 150).mesh;
+            let elems = random_subset(m.n_elems(), seed);
+            let full = |g: u32| 1.0 + (g as f64 * 0.37).sin().abs();
+            for mass in [None, Some(&full as &dyn Fn(u32) -> f64)] {
+                let (a, ga) = UnstructuredAcoustic::from_subset(&m, order, &elems, mass);
+                let (b, gb) = oracle::acoustic(&m, order, &elems, mass);
+                assert_eq!(ga, gb);
+                assert_eq!(a.elem_dofs, b.elem_dofs);
+                assert_eq!(a.elem_geom, b.elem_geom);
+                assert_eq!(bits(&a.mass), bits(&b.mass));
+                assert_eq!(bits(&a.inv_mass), bits(&b.inv_mass));
+                let (a, ga) = UnstructuredElastic::from_subset(&m, order, &elems, mass);
+                let (b, gb) = oracle::elastic(&m, order, &elems, mass);
+                assert_eq!(ga, gb);
+                assert_eq!(a.elem_nodes, b.elem_nodes);
+                assert_eq!(a.elem_geom, b.elem_geom);
+                assert_eq!(bits(&a.mass), bits(&b.mass));
+                assert_eq!(bits(&a.inv_mass), bits(&b.inv_mass));
+            }
+        }
     }
 
     #[test]

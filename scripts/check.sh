@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository lint gate: clippy clean under -D warnings, formatting canonical,
-# and the bench-smoke regression gate (deterministic counters vs the
-# committed BENCH_lts.json baseline; timings are skipped — hosts differ).
+# every workspace crate's tests green, and the bench-smoke regression gate
+# (deterministic counters vs the committed BENCH_lts.json baseline; timings
+# are skipped — hosts differ).
 # Run from anywhere; operates on the workspace this script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check"
 cargo fmt --check
+
+echo "== cargo test --workspace -q (every crate's own suite, not only the root package)"
+# Tier-1 `cargo test -q` runs only the root package; this step gates the
+# crate-level suites too: runtime plan/rank-local tests, sem proptests,
+# lint fixtures, check fixtures and partition proptests.
+cargo test --workspace -q
 
 echo "== cargo xtask lint (semantic call-graph tier + lexer fallback, SARIF to target/lint.sarif)"
 cargo xtask lint --sarif target/lint.sarif
